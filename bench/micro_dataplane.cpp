@@ -6,7 +6,10 @@
 
 #include "bench_main.h"
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -20,7 +23,30 @@
 #include "transport/gcc.h"
 #include "transport/pacer.h"
 #include "transport/receive_buffer.h"
+#include "transport/send_history.h"
 #include "util/rng.h"
+
+// TU-level allocation probe for the allocs_per_iter counters: a
+// replaceable global operator new with a counter (operator new[] routes
+// through it). Pool-backed messages and bodies never reach it in steady
+// state, so the count is what the measured code takes from the heap.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+
+// GCC inlines the pair and flags free() as mismatched with the custom
+// operator new above; they do match (new mallocs, delete frees).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -232,6 +258,81 @@ void BM_ReceiveBufferInOrder(benchmark::State& state) {
   benchmark::DoNotOptimize(delivered);
 }
 BENCHMARK(BM_ReceiveBufferInOrder);
+
+// Steady state of one LinkSender's NACK history: kFlows flows (stream
+// video + audio pairs) interleaved round-robin, one record every
+// kSendHistoryStep, so the default 2 s window holds kSendHistoryLive
+// packets and every record also expires one. The history keys on the
+// seq it copies at record time, so one packet object per flow keeps
+// packet construction out of the timing.
+constexpr int kFlows = 8;
+constexpr std::size_t kSendHistoryLive = 8192;
+constexpr Duration kSendHistoryStep =
+    2 * kSec / static_cast<Duration>(kSendHistoryLive);
+
+struct SendHistoryWindow {
+  transport::SendHistory hist;
+  std::vector<media::RtpPacketMut> pkts;  ///< one per flow
+  std::vector<media::Seq> next;           ///< next seq per flow
+  Time now = 0;
+  int flow = 0;
+
+  SendHistoryWindow() : next(kFlows, 1) {
+    for (int f = 0; f < kFlows; ++f) {
+      media::RtpBody body;
+      body.stream_id = static_cast<media::StreamId>(f / 2 + 1);
+      body.frame_type =
+          f % 2 == 1 ? media::FrameType::kAudio : media::FrameType::kP;
+      body.payload_bytes = 1200;
+      pkts.push_back(media::RtpPacket::make(std::move(body)));
+    }
+    // Two windows' worth: every record now expires one.
+    for (std::size_t i = 0; i < 2 * kSendHistoryLive; ++i) record_next();
+  }
+
+  void record_next() {
+    now += kSendHistoryStep;
+    pkts[flow]->seq = next[flow]++;
+    hist.record(pkts[flow], now);
+    flow = (flow + 1) % kFlows;
+  }
+};
+
+void BM_SendHistoryRecord(benchmark::State& state) {
+  SendHistoryWindow w;
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) w.record_next();
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(g_allocs.load(std::memory_order_relaxed) -
+                          allocs0),
+      benchmark::Counter::kAvgIterations);
+  state.counters["live"] = static_cast<double>(w.hist.size());
+}
+BENCHMARK(BM_SendHistoryRecord);
+
+void BM_SendHistoryLookup(benchmark::State& state) {
+  // NACK answers from the same window: seqs spread over each flow's
+  // live range, time held so nothing expires between lookups.
+  SendHistoryWindow w;
+  const media::Seq span =
+      static_cast<media::Seq>(kSendHistoryLive / kFlows);
+  std::uint64_t found = 0;
+  std::uint64_t i = 0;
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    const int f = static_cast<int>(i % kFlows);
+    const media::Seq back = (i * 2654435761u) % span;
+    found += w.hist.lookup(static_cast<media::StreamId>(f / 2 + 1), f % 2 == 1,
+                           w.next[f] - 1 - back, w.now) != nullptr;
+    ++i;
+  }
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(g_allocs.load(std::memory_order_relaxed) -
+                          allocs0),
+      benchmark::Counter::kAvgIterations);
+  if (found != i) state.SkipWithError("lookup missed a live packet");
+}
+BENCHMARK(BM_SendHistoryLookup);
 
 void BM_Packetize1MbpsFrame(benchmark::State& state) {
   media::Packetizer packetizer(1);

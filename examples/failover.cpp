@@ -44,23 +44,25 @@ int main() {
               session.path_length, session.cdn_delay_ms.mean());
 
   // Degrade the current upstream hop: find the consumer's upstream via
-  // the FIB and spike loss on that link pair heavily.
+  // the FIB and spike loss on that link pair heavily. The upstream is
+  // captured now: the path switch below rewrites the FIB entry.
   const auto* entry = system.node(consumer).fib().find(7);
-  if (entry != nullptr && entry->upstream != sim::kNoNode) {
-    const auto upstream = entry->upstream;
+  const sim::NodeId upstream =
+      entry != nullptr ? entry->upstream : sim::kNoNode;
+  if (upstream != sim::kNoNode) {
     std::printf("degrading link %d -> %d (90%% loss)...\n", upstream,
                 consumer);
     system.network().link(upstream, consumer)->set_loss_rate(0.90);
   }
   system.loop().run_until(35 * kSec);
-  if (entry != nullptr && entry->upstream != sim::kNoNode) {
-    const auto* l = system.network().link(entry->upstream, consumer);
+  if (upstream != sim::kNoNode) {
+    const auto* l = system.network().link(upstream, consumer);
     std::printf("  degraded link stats: sent=%llu lost=%llu\n",
       (unsigned long long)l->stats().packets_sent,
       (unsigned long long)l->stats().packets_lost);
-    const auto* e2 = system.node(consumer).fib().find(7);
+    const auto* now_entry = system.node(consumer).fib().find(7);
     std::printf("  consumer upstream now: %d (was %d)\n",
-      e2 ? e2->upstream : -99, entry->upstream);
+      now_entry ? now_entry->upstream : -99, upstream);
   }
   std::printf("after degradation: path switches=%d, viewer stalls=%u skips=%llu\n",
               session.path_switches, qoe.records().front().stalls,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <typeinfo>
 #include <utility>
 
 #include "util/pool.h"
@@ -214,10 +215,18 @@ auto make_message(Args&&... args) {
 }
 
 /// dynamic_cast across IntrusivePtr (replacement for
-/// std::dynamic_pointer_cast in receiver dispatch switches).
+/// std::dynamic_pointer_cast in receiver dispatch switches). A final
+/// target has no subclasses, so an exact typeid match decides the cast
+/// without walking the class hierarchy in __dynamic_cast.
 template <typename To, typename From>
 IntrusivePtr<To> msg_cast(const IntrusivePtr<From>& m) {
-  return IntrusivePtr<To>(dynamic_cast<To*>(m.get()));
+  if constexpr (std::is_final_v<To>) {
+    From* p = m.get();
+    if (p == nullptr || typeid(*p) != typeid(To)) return {};
+    return IntrusivePtr<To>(static_cast<To*>(p));
+  } else {
+    return IntrusivePtr<To>(dynamic_cast<To*>(m.get()));
+  }
 }
 
 inline IntrusivePtr<const Message> Message::clone_message() const {

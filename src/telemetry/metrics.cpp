@@ -87,12 +87,11 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "\n  },\n  \"latencies\": {";
   first = true;
   for (const auto& [name, l] : sorted_names(latency_names_)) {
-    const auto& h = l->histogram();
     const auto& s = l->stats();
     os << (first ? "\n" : ",\n") << "    \"" << name << "\": {"
        << "\"count\": " << s.count() << ", \"mean\": " << s.mean()
-       << ", \"p50\": " << h.quantile(0.5) << ", \"p90\": " << h.quantile(0.9)
-       << ", \"p99\": " << h.quantile(0.99) << ", \"max\": " << s.max() << "}";
+       << ", \"p50\": " << l->quantile(0.5) << ", \"p90\": " << l->quantile(0.9)
+       << ", \"p99\": " << l->quantile(0.99) << ", \"max\": " << s.max() << "}";
     first = false;
   }
   os << "\n  }\n}\n";

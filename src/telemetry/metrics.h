@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -71,6 +72,12 @@ class LatencyStat {
   }
   const Histogram& histogram() const { return hist_; }
   const OnlineStats& stats() const { return stats_; }
+  /// Histogram quantile clamped to the observed [min, max]: bucket
+  /// interpolation alone can report a p99 above the largest sample.
+  double quantile(double q) const {
+    const double v = hist_.quantile(q);
+    return stats_.count() == 0 ? v : std::clamp(v, stats_.min(), stats_.max());
+  }
   double lo() const { return lo_; }
   double hi() const { return hi_; }
   std::size_t buckets() const { return buckets_; }

@@ -1,8 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 
 #include "media/rtp.h"
 #include "util/time.h"
@@ -13,6 +13,14 @@
 // recovery module in the upstream node").
 namespace livenet::transport {
 
+/// Per flow (stream + audio flag) a deque of {seq, t, pkt} sorted by
+/// seq, behind one record-order FIFO that drives expiry; no hash probe
+/// and no per-packet heap node (see DESIGN.md "Send history").
+///
+/// A lookup finds a packet iff the latest record of (flow, seq) is at
+/// most max_age old, was not dropped by forget_stream, and has not been
+/// pushed out by the max_packets bound on records (re-records and
+/// forgotten records still count until they leave the FIFO).
 class SendHistory {
  public:
   struct Config {
@@ -22,6 +30,9 @@ class SendHistory {
 
   SendHistory() : SendHistory(Config()) {}
   explicit SendHistory(const Config& cfg) : cfg_(cfg) {}
+  // FIFO records point into the flow storage.
+  SendHistory(const SendHistory&) = delete;
+  SendHistory& operator=(const SendHistory&) = delete;
 
   /// Records a sent packet (keyed by stream + flow kind + seq).
   void record(const media::RtpPacketPtr& pkt, Time now);
@@ -33,34 +44,41 @@ class SendHistory {
   /// Drops all state for a stream (unsubscribe / stream end).
   void forget_stream(media::StreamId stream);
 
-  std::size_t size() const { return by_key_.size(); }
+  std::size_t size() const { return size_; }
 
  private:
-  static std::uint64_t key_hash(media::StreamId stream, media::Seq seq) {
-    // Streams and seqs are both dense counters; mix them.
-    return stream * 0x9E3779B97F4A7C15ull ^ seq;
-  }
-
-  struct Key {
-    media::StreamId stream;  ///< stream*2 + audio-flag (flow id)
+  struct Entry {
     media::Seq seq;
-    bool operator==(const Key&) const = default;
+    Time t;  ///< time of the latest record of this seq
+    media::RtpPacketPtr pkt;
   };
-  struct KeyHasher {
-    std::size_t operator()(const Key& k) const {
-      return key_hash(k.stream, k.seq);
-    }
+  struct Flow {
+    media::StreamId id = 0;     ///< stream*2 + audio-flag
+    std::deque<Entry> entries;  ///< sorted by seq, one entry per seq
+    std::size_t records = 0;    ///< FIFO records naming this flow
   };
+  struct Record {
+    Flow* flow;
+    media::Seq seq;
+    Time t;
+  };
+
   static media::StreamId flow_id(media::StreamId stream, bool audio) {
     return stream * 2 + (audio ? 1 : 0);
   }
+  static std::deque<Entry>::iterator find_seq(std::deque<Entry>& entries,
+                                              media::Seq seq);
 
+  Flow* find_flow(media::StreamId id);
+  Flow& flow_for_record(media::StreamId id);
   void prune(Time now);
+  void expire_front();
 
   Config cfg_;
-  std::unordered_map<Key, std::pair<media::RtpPacketPtr, Time>, KeyHasher>
-      by_key_;
-  std::deque<std::pair<Time, Key>> fifo_;
+  std::deque<Record> fifo_;  ///< every record, oldest first
+  std::deque<Flow> flows_;   ///< stable addresses for Record::flow
+  Flow* last_ = nullptr;     ///< last flow resolved
+  std::size_t size_ = 0;     ///< live entries over all flows
 };
 
 }  // namespace livenet::transport

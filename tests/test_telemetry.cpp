@@ -56,6 +56,35 @@ TEST_F(RegistryTest, LatencyStatObservesIntoHistogram) {
   EXPECT_DOUBLE_EQ(l->stats().mean(), 5.0);
 }
 
+// Quantiles interpolate inside fixed-width buckets; with every sample in
+// one bucket the raw interpolation leaves the observed range (the
+// brain.recompute_ms layout once reported p99 49.5 ms against a max of
+// 8.6 ms). Exported quantiles are clamped to [min, max].
+TEST_F(RegistryTest, LatencyQuantilesStayInsideObservedRange) {
+  LatencyStat* l =
+      MetricsRegistry::instance().latency("t.one_bucket", 0.0, 10000.0, 200);
+  for (const double v : {2.1, 3.4, 5.0, 8.6}) l->observe(v);
+  EXPECT_GT(l->histogram().quantile(0.99), 8.6);  // the raw bucket value
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_GE(l->quantile(q), 2.1) << q;
+    EXPECT_LE(l->quantile(q), 8.6) << q;
+  }
+  EXPECT_DOUBLE_EQ(l->quantile(0.99), 8.6);
+
+  LatencyStat* high =
+      MetricsRegistry::instance().latency("t.high_in_bucket", 0.0, 100.0, 2);
+  for (const double v : {45.0, 46.0, 47.0}) high->observe(v);
+  EXPECT_DOUBLE_EQ(high->quantile(0.1), 45.0);  // raw reads 5
+
+  std::ostringstream os;
+  MetricsRegistry::instance().write_json(os);
+  EXPECT_NE(os.str().find("\"t.one_bucket\": {\"count\": 4, \"mean\": 4.775, "
+                          "\"p50\": 8.6, \"p90\": 8.6, \"p99\": 8.6, "
+                          "\"max\": 8.6}"),
+            std::string::npos)
+      << os.str();
+}
+
 TEST_F(RegistryTest, ResetZeroesValuesButKeepsHandles) {
   Counter* c = MetricsRegistry::instance().counter("t.rst");
   c->add(7);

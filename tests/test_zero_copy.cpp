@@ -134,5 +134,26 @@ TEST(CancelReleases, IntrusiveMessageDroppedImmediatelyOnCancel) {
   EXPECT_EQ(Probe::alive, 0);  // released now, not at t = 1 s
 }
 
+// msg_cast to a final message class is an exact-type check; it must
+// refuse every other message type and a null pointer.
+TEST(MsgCast, ExactTypeForFinalTargets) {
+  const sim::MessagePtr rtp = make_pkt(1, 1);
+  const auto back = sim::msg_cast<const RtpPacket>(rtp);
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back.get(), rtp.get());
+
+  const sim::MessagePtr nack = sim::make_message<media::NackMessage>();
+  EXPECT_EQ(sim::msg_cast<const RtpPacket>(nack), nullptr);
+  EXPECT_NE(sim::msg_cast<const media::NackMessage>(nack), nullptr);
+  EXPECT_EQ(sim::msg_cast<const media::NackMessage>(rtp), nullptr);
+
+  const sim::MessagePtr none;
+  EXPECT_EQ(sim::msg_cast<const RtpPacket>(none), nullptr);
+  EXPECT_EQ(sim::msg_cast<const media::NackMessage>(none), nullptr);
+  // Non-final targets keep dynamic_cast semantics (any subclass).
+  EXPECT_EQ(sim::msg_cast<const sim::Message>(nack).get(), nack.get());
+  EXPECT_EQ(sim::msg_cast<const sim::Message>(none), nullptr);
+}
+
 }  // namespace
 }  // namespace livenet
