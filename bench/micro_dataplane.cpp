@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <vector>
 
 #include "livenet/sharded_scale.h"
@@ -146,33 +145,10 @@ void BM_LayerFilterForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerFilterForward);
 
-// Before/after of the StreamContext unification. The old node resolved
-// per-stream state through parallel hash maps: the RTP handler probed
-// the FIB, and the per-stream state map (framer, caches, path state)
-// was a second, separately-keyed probe. The unified StreamTable folds
-// both into one context record, so the per-packet path pays exactly one
-// hash probe and carries the pointer through fast and slow path.
-void BM_SplitMapLookup(benchmark::State& state) {
-  // "Before": FIB probe + per-stream state probe per packet.
-  overlay::StreamFib fib;
-  std::unordered_map<media::StreamId, overlay::StreamContext> streams;
-  for (media::StreamId s = 1; s <= 200; ++s) {
-    fib.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
-    streams[s].paths_fetched = static_cast<Time>(s);
-  }
-  const auto pkt = make_packet(77, 1);
-  for (auto _ : state) {
-    const auto* e = fib.find(pkt->stream_id());
-    benchmark::DoNotOptimize(e);
-    const auto it = streams.find(pkt->stream_id());
-    benchmark::DoNotOptimize(it->second.paths_fetched);
-    benchmark::DoNotOptimize(e->subscriber_nodes.size());
-  }
-}
-BENCHMARK(BM_SplitMapLookup);
-
+// Per-packet stream resolution on the node: one StreamTable probe
+// yields the FIB entry and the per-stream state (framer, caches, path
+// state), and the pointer is carried through fast and slow path.
 void BM_StreamContextLookup(benchmark::State& state) {
-  // "After": one StreamTable probe yields FIB entry + stream state.
   overlay::StreamTable table;
   for (media::StreamId s = 1; s <= 200; ++s) {
     table.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
@@ -312,7 +288,9 @@ BENCHMARK(BM_SendHistoryRecord);
 
 void BM_SendHistoryLookup(benchmark::State& state) {
   // NACK answers from the same window: seqs spread over each flow's
-  // live range, time held so nothing expires between lookups.
+  // live range, time held so nothing expires between lookups. Each hit
+  // rebuilds a trailer from its snapshot (a pool block, recycled when
+  // the answer is dropped).
   SendHistoryWindow w;
   const media::Seq span =
       static_cast<media::Seq>(kSendHistoryLive / kFlows);

@@ -42,6 +42,12 @@ asan_dir="${BENCH_ASAN_DIR:-${repo_root}/build-asan}"
 # layer filter, the chained prev_link_seq vouchers, sparse FEC groups,
 # and the NackVoid answer path — all of it bookkeeping over shared
 # per-link state that ASan should see churn.
+#
+# The packet-ownership units ride along as well: test_send_history
+# (snapshot entries holding a body reference, rebuilt into a fresh
+# trailer on lookup), test_zero_copy (shared bodies across forks and
+# shard clones) and test_loss_recovery (the pooled FEC parity side
+# object a parity body owns and a deep copy duplicates).
 if [[ "${BENCH_SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B "${asan_dir}" -S "${repo_root}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -49,10 +55,11 @@ if [[ "${BENCH_SKIP_ASAN:-0}" != "1" ]]; then
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" >&2
   cmake --build "${asan_dir}" -j \
       --target test_node_failure test_stream_context micro_dataplane \
-               repro_recovery repro_svc >&2
+               repro_recovery repro_svc test_send_history test_zero_copy \
+               test_loss_recovery >&2
   (cd "${asan_dir}" && ctest --output-on-failure \
-      -R 'test_node_failure|test_stream_context|bench_smoke_dataplane_batched|bench_smoke_recovery|bench_smoke_svc') >&2
-  echo "verify: ASan chaos + recovery-tier + SVC-tier + batched data-plane smoke passed" >&2
+      -R 'test_node_failure|test_stream_context|bench_smoke_dataplane_batched|bench_smoke_recovery|bench_smoke_svc|test_send_history|test_zero_copy|test_loss_recovery') >&2
+  echo "verify: ASan chaos + recovery-tier + SVC-tier + packet-ownership + batched data-plane smoke passed" >&2
 fi
 
 # ThreadSanitizer smoke of the sharded runtime (-DLIVENET_SANITIZE=thread):

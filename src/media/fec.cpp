@@ -65,14 +65,16 @@ std::optional<RtpBody> FecGroupEncoder::add(const RtpBody& b) {
   parity.frag_count = 1;
   parity.payload_bytes = static_cast<std::size_t>(max_payload_);
   parity.capture_time = last_capture_;
-  parity.fec_group_count = open_k_;
-  parity.fec_base_seq = base_seq_;
+  FecParity fec;
+  fec.group_count = open_k_;
+  fec.base_seq = base_seq_;
   // Dense groups keep the legacy zero encoding, so a run with no layer
   // filtering emits byte-identical parity.
   const std::uint64_t dense =
       open_k_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << open_k_) - 1;
-  parity.fec_seq_bitmap = bitmap_ == dense ? 0 : bitmap_;
-  parity.fec = acc_;
+  fec.seq_bitmap = bitmap_ == dense ? 0 : bitmap_;
+  fec.aggregate = acc_;
+  parity.fec = FecParityPtr(fec);
   count_ = 0;
   return parity;
 }
@@ -138,15 +140,16 @@ RtpPacketMut FecDecoder::on_media(const RtpPacket& pkt) {
 RtpPacketMut FecDecoder::on_parity(const RtpPacket& pkt) {
   active_ = true;
   auto& sf = streams_[pkt.stream_id()];
+  const FecParity& fec = pkt.fec();
   Group g;
-  g.k = pkt.fec_group_count();
-  g.bitmap = pkt.fec_seq_bitmap();
-  g.parity = pkt.fec_xor();
+  g.k = fec.group_count;
+  g.bitmap = fec.seq_bitmap;
+  g.parity = fec.aggregate;
   g.parity_payload = pkt.payload_bytes();
   g.delay_ext_us = pkt.delay_ext_us;
   g.cdn_ingress_time = pkt.cdn_ingress_time;
   g.cdn_hops = pkt.cdn_hops;
-  const Seq base = pkt.fec_base_seq();
+  const Seq base = fec.base_seq;
   if (g.k == 0) return nullptr;
 
   RtpPacketMut rec = try_resolve(pkt.stream_id(), base, g);

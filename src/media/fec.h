@@ -19,9 +19,10 @@
 //
 // The simulator models packets as metadata, so "XOR of payloads" becomes
 // a field-wise XOR of the body metadata (FecXor in rtp.h). Group
-// geometry is carried in-band: fec_base_seq + fec_group_count on the
-// parity body; the missing packet's seq is derived from the hole
-// position, so it is never part of the aggregate.
+// geometry is carried in-band: base_seq + group_count in the parity
+// body's FecParity side object (rtp.h), which only parity bodies own;
+// the missing packet's seq is derived from the hole position, so it is
+// never part of the aggregate.
 namespace livenet::media {
 
 /// Sender side: accumulates one parity group for one (stream, link).
@@ -47,7 +48,7 @@ class FecGroupEncoder {
   /// Declare `seq` intentionally absent on this link (a layer the
   /// subscriber filtered out). The group stays open and spends no
   /// parity on the skipped seq; its membership travels in the parity's
-  /// fec_seq_bitmap so the decoder knows the gap is not a loss. A
+  /// seq_bitmap so the decoder knows the gap is not a loss. A
   /// group whose seq span outgrows the 64-bit bitmap restarts.
   void skip(Seq seq);
 

@@ -5,12 +5,13 @@
 namespace livenet::media {
 
 std::atomic<std::uint64_t> RtpBody::deep_copies_{0};
+std::atomic<std::int64_t> FecParityPtr::live_{0};
 
 std::string RtpPacket::describe() const {
   std::ostringstream ss;
   if (is_fec_parity()) {
-    ss << "FEC s" << stream_id() << " #" << seq << " base" << fec_base_seq()
-       << " k" << fec_group_count();
+    ss << "FEC s" << stream_id() << " #" << seq << " base" << fec().base_seq
+       << " k" << fec().group_count;
     return ss.str();
   }
   ss << (is_rtx ? "RTX" : "RTP") << " s" << stream_id() << " #" << seq << " "

@@ -27,9 +27,12 @@
 //     via a non-atomic intrusive refcount.
 //   - the per-hop trailer (the RtpPacket object itself): the fields a
 //     forwarding hop rewrites — delay extension, hop count, RTX flag,
-//     client-facing sequence number, pacer send timestamp. ~48 B,
+//     client-facing sequence number, pacer send timestamp. 80 B,
 //     pool-allocated, copied per subscriber in lieu of a header
 //     rewrite on a real wire packet.
+// Parity-only state (group geometry and the XOR aggregate) lives in a
+// pooled FecParity side object that only parity bodies own, so a media
+// body carries one null pointer for it.
 // fork() is the fan-out primitive: a new trailer sharing the same
 // body. Copying an RtpPacket never copies its body; RtpBody's copy
 // constructor counts invocations so tests can assert the fast path
@@ -86,6 +89,62 @@ struct FecXor {
   bool operator==(const FecXor&) const = default;
 };
 
+/// Parity-only body state: a parity packet covers group_count media
+/// packets starting at base_seq on the link that generated it.
+struct FecParity {
+  std::uint32_t group_count = 0;
+  Seq base_seq = 0;
+  /// Group membership bitmap for parity over a layer-filtered link: bit
+  /// i set = base_seq + i belongs to the group. 0 = the legacy dense
+  /// group [base_seq, base_seq + group_count).
+  std::uint64_t seq_bitmap = 0;
+  /// XOR aggregate of the covered bodies.
+  FecXor aggregate;
+  bool operator==(const FecParity&) const = default;
+};
+
+/// Sole owner of a pooled FecParity side object; null on every media
+/// body, so media packets pay one pointer for the parity state.
+class FecParityPtr {
+ public:
+  FecParityPtr() = default;
+  /// Allocates a side object from the pool holding a copy of `p`.
+  explicit FecParityPtr(const FecParity& p) : p_(allocate(p)) {}
+  /// Deep copy: an independent side object (a deep body copy must not
+  /// share it).
+  FecParityPtr(const FecParityPtr& o)
+      : p_(o.p_ != nullptr ? allocate(*o.p_) : nullptr) {}
+  FecParityPtr(FecParityPtr&& o) noexcept : p_(o.p_) { o.p_ = nullptr; }
+  FecParityPtr& operator=(FecParityPtr o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~FecParityPtr() {
+    if (p_ == nullptr) return;
+    util::pool_delete(p_);
+    live_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  const FecParity* operator->() const { return p_; }
+  const FecParity& operator*() const { return *p_; }
+  explicit operator bool() const { return p_ != nullptr; }
+
+  /// Side objects allocated and not yet returned to the pool, summed
+  /// across shard threads (a parity body may be freed on another shard
+  /// than the one that built it).
+  static std::int64_t live_count() {
+    return live_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  static FecParity* allocate(const FecParity& p) {
+    live_.fetch_add(1, std::memory_order_relaxed);
+    return util::pool_new<FecParity>(p);
+  }
+
+  FecParity* p_ = nullptr;
+  static std::atomic<std::int64_t> live_;
+};
+
 /// Immutable, refcount-shared packet body (identity + payload).
 struct RtpBody {
   StreamId stream_id = kNoStream;
@@ -103,18 +162,10 @@ struct RtpBody {
   /// one stamp follows the packet across all hops. Observation-only:
   /// no forwarding decision reads it.
   std::uint64_t trace_id = 0;
-  /// FEC parity marker: > 0 on link-local parity packets, covering
-  /// fec_group_count media packets starting at fec_base_seq on the link
-  /// that generated it. Media packets always carry 0. A parity body's
-  /// own payload_bytes models its wire size (max payload in the group);
-  /// the XOR aggregate of the covered bodies travels in fec.
-  std::uint32_t fec_group_count = 0;
-  Seq fec_base_seq = 0;
-  FecXor fec;
-  /// Group membership bitmap for parity over a layer-filtered link: bit
-  /// i set = fec_base_seq + i belongs to the group. 0 = the legacy
-  /// dense group [fec_base_seq, fec_base_seq + fec_group_count).
-  std::uint64_t fec_seq_bitmap = 0;
+  /// FEC parity marker: set on link-local parity packets only, null on
+  /// every media packet. A parity body's own payload_bytes models its
+  /// wire size (max payload in the group).
+  FecParityPtr fec;
 
   // SVC lattice coordinates of the carried frame (see media::Frame).
   LayerId layer;
@@ -130,9 +181,7 @@ struct RtpBody {
         gop_id(o.gop_id), frame_type(o.frame_type), referenced(o.referenced),
         frag_index(o.frag_index), frag_count(o.frag_count),
         payload_bytes(o.payload_bytes), capture_time(o.capture_time),
-        trace_id(o.trace_id), fec_group_count(o.fec_group_count),
-        fec_base_seq(o.fec_base_seq), fec(o.fec),
-        fec_seq_bitmap(o.fec_seq_bitmap), layer(o.layer),
+        trace_id(o.trace_id), fec(o.fec), layer(o.layer),
         spatial_layers(o.spatial_layers), temporal_layers(o.temporal_layers),
         discardable(o.discardable) {
     ++deep_copies_;
@@ -144,9 +193,7 @@ struct RtpBody {
         gop_id(o.gop_id), frame_type(o.frame_type), referenced(o.referenced),
         frag_index(o.frag_index), frag_count(o.frag_count),
         payload_bytes(o.payload_bytes), capture_time(o.capture_time),
-        trace_id(o.trace_id), fec_group_count(o.fec_group_count),
-        fec_base_seq(o.fec_base_seq), fec(o.fec),
-        fec_seq_bitmap(o.fec_seq_bitmap), layer(o.layer),
+        trace_id(o.trace_id), fec(std::move(o.fec)), layer(o.layer),
         spatial_layers(o.spatial_layers), temporal_layers(o.temporal_layers),
         discardable(o.discardable) {}
   RtpBody& operator=(const RtpBody&) = delete;
@@ -228,6 +275,9 @@ class RtpPacket final : public sim::Message {
   bool is_rtx = false;        ///< retransmission of an earlier packet
   bool fec_recovered = false; ///< reconstructed from a parity group at
                               ///< this hop (never crossed the wire)
+  /// Overlay hops traversed so far (measurement only; packed with the
+  /// flags above so the trailer stays in an 80-B pool block).
+  std::uint8_t cdn_hops = 0;
   /// Layer-filtered links are sparse in producer-seq space: the sender
   /// stamps the previous producer seq it forwarded on this hop, so the
   /// receive buffer treats the gap (prev_link_seq, producer_seq) as
@@ -238,7 +288,6 @@ class RtpPacket final : public sim::Message {
   // Measurement fields (stand-ins for per-hop log correlation in the
   // production system; they do not influence forwarding decisions).
   Time cdn_ingress_time = kNever;  ///< producer stamped CDN entry time
-  std::uint8_t cdn_hops = 0;       ///< overlay hops traversed so far
 
   /// Per-hop departure timestamp used by the receiver-side GCC delay
   /// estimator (the abs-send-time RTP extension in WebRTC). Mutable
@@ -275,6 +324,9 @@ class RtpPacket final : public sim::Message {
   // ---- Shared-body accessors. ----
   /// The shared immutable body (FEC encoders aggregate its fields).
   const RtpBody& body() const { return *body_; }
+  /// The shared body's handle (a send-history snapshot copies it to
+  /// keep the body alive without holding the trailer).
+  const BodyRef& body_ref() const { return body_; }
   StreamId stream_id() const { return body_->stream_id; }
   /// The producer-assigned sequence number (survives edge seq rewrite).
   Seq producer_seq() const { return body_->seq; }
@@ -306,12 +358,10 @@ class RtpPacket final : public sim::Message {
   bool is_audio() const { return frame_type() == FrameType::kAudio; }
   bool is_keyframe_packet() const { return frame_type() == FrameType::kI; }
 
-  // ---- FEC parity accessors (see RtpBody::fec_group_count). ----
-  bool is_fec_parity() const { return body_->fec_group_count > 0; }
-  std::uint32_t fec_group_count() const { return body_->fec_group_count; }
-  Seq fec_base_seq() const { return body_->fec_base_seq; }
-  const FecXor& fec_xor() const { return body_->fec; }
-  std::uint64_t fec_seq_bitmap() const { return body_->fec_seq_bitmap; }
+  // ---- FEC parity accessors (see RtpBody::fec). ----
+  bool is_fec_parity() const { return static_cast<bool>(body_->fec); }
+  /// The parity side object; call only when is_fec_parity().
+  const FecParity& fec() const { return *body_->fec; }
 
   std::size_t wire_size() const override {
     return kRtpHeaderBytes + payload_bytes();
@@ -352,6 +402,12 @@ class RtpPacket final : public sim::Message {
  private:
   BodyRef body_;
 };
+
+// Every in-flight packet pays one trailer and shares one body; the
+// send history and the pools size themselves from these (16-B pool
+// classes: the trailer takes an 80-B block, a media body a 96-B one).
+static_assert(sizeof(RtpPacket) <= 80, "per-hop trailer outgrew 80 B");
+static_assert(sizeof(RtpBody) <= 96, "media body outgrew 96 B");
 
 /// RTCP NACK: sequence numbers of detected holes, sent to the upstream
 /// node which retransmits from its send history (§5.1, 50 ms scan).

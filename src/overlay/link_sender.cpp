@@ -42,12 +42,11 @@ std::vector<media::Seq> LinkSender::on_nack(
   std::vector<media::Seq> unserved;
   const Time now = net_->loop()->now();
   for (const media::Seq seq : seqs) {
-    const media::RtpPacketPtr orig = history_.lookup(stream, audio, seq, now);
-    if (!orig) {
+    media::RtpPacketMut rtx = history_.lookup(stream, audio, seq, now);
+    if (!rtx) {
       unserved.push_back(seq);
       continue;
     }
-    auto rtx = orig->fork();
     rtx->is_rtx = true;
     ++rtx_sent_;
     note_rtx(*rtx, now, self_, peer_);

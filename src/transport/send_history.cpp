@@ -45,30 +45,45 @@ void SendHistory::record(const media::RtpPacketPtr& pkt, Time now) {
   prune(now);
   Flow& f = flow_for_record(flow_id(pkt->stream_id(), pkt->is_audio()));
   const media::Seq seq = pkt->seq;
+  Entry e{seq,
+          now,
+          pkt->body_ref(),
+          pkt->delay_ext_us,
+          pkt->cdn_ingress_time,
+          pkt->is_rtx,
+          pkt->fec_recovered,
+          pkt->cdn_hops};
   auto& es = f.entries;
   if (es.empty() || es.back().seq < seq) {
-    es.push_back(Entry{seq, now, pkt});
+    es.push_back(std::move(e));
     ++size_;
   } else if (const auto it = find_seq(es, seq); it->seq == seq) {
-    // Re-record: the newer time wins; the older FIFO record goes stale.
-    it->t = now;
-    it->pkt = pkt;
+    // Re-record: the newer time and snapshot win; the older FIFO record
+    // goes stale.
+    *it = std::move(e);
   } else {
-    es.insert(it, Entry{seq, now, pkt});
+    es.insert(it, std::move(e));
     ++size_;
   }
   ++f.records;
   fifo_.push_back(Record{&f, seq, now});
 }
 
-media::RtpPacketPtr SendHistory::lookup(media::StreamId stream, bool audio,
+media::RtpPacketMut SendHistory::lookup(media::StreamId stream, bool audio,
                                         media::Seq seq, Time now) {
   prune(now);
   Flow* f = find_flow(flow_id(stream, audio));
   if (f == nullptr) return nullptr;
   const auto it = find_seq(f->entries, seq);
   if (it == f->entries.end() || it->seq != seq) return nullptr;
-  return it->pkt;
+  media::RtpPacketMut pkt = sim::make_message<media::RtpPacket>(it->body);
+  pkt->seq = it->seq;
+  pkt->delay_ext_us = it->delay_ext_us;
+  pkt->cdn_ingress_time = it->cdn_ingress_time;
+  pkt->is_rtx = it->is_rtx;
+  pkt->fec_recovered = it->fec_recovered;
+  pkt->cdn_hops = it->cdn_hops;
+  return pkt;
 }
 
 void SendHistory::forget_stream(media::StreamId stream) {

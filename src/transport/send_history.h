@@ -13,9 +13,12 @@
 // recovery module in the upstream node").
 namespace livenet::transport {
 
-/// Per flow (stream + audio flag) a deque of {seq, t, pkt} sorted by
+/// Per flow (stream + audio flag) a deque of snapshot entries sorted by
 /// seq, behind one record-order FIFO that drives expiry; no hash probe
-/// and no per-packet heap node (see DESIGN.md "Send history").
+/// and no per-packet heap node (see DESIGN.md "Send history"). An entry
+/// keeps the shared body and the sent trailer's fields by value, not
+/// the trailer itself, so the per-link trailer returns to its pool once
+/// the pacer has sent it.
 ///
 /// A lookup finds a packet iff the latest record of (flow, seq) is at
 /// most max_age old, was not dropped by forget_stream, and has not been
@@ -38,7 +41,10 @@ class SendHistory {
   void record(const media::RtpPacketPtr& pkt, Time now);
 
   /// Looks up a packet for retransmission; nullptr if expired/unknown.
-  media::RtpPacketPtr lookup(media::StreamId stream, bool audio,
+  /// The result is a new trailer rebuilt from the snapshot, field for
+  /// field what `sent->fork()` returns, except that hop_send_time is
+  /// unstamped (kNever): the pacer stamps it when it sends the copy.
+  media::RtpPacketMut lookup(media::StreamId stream, bool audio,
                              media::Seq seq, Time now);
 
   /// Drops all state for a stream (unsubscribe / stream end).
@@ -47,10 +53,17 @@ class SendHistory {
   std::size_t size() const { return size_; }
 
  private:
+  /// The sent trailer's fields a fork() carries over (prev_link_seq
+  /// resets on a fork; hop_send_time is restamped at transmission).
   struct Entry {
     media::Seq seq;
     Time t;  ///< time of the latest record of this seq
-    media::RtpPacketPtr pkt;
+    media::BodyRef body;
+    Duration delay_ext_us;
+    Time cdn_ingress_time;
+    bool is_rtx;
+    bool fec_recovered;
+    std::uint8_t cdn_hops;
   };
   struct Flow {
     media::StreamId id = 0;     ///< stream*2 + audio-flag

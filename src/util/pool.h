@@ -67,12 +67,12 @@ class FreeListArena {
   }
 };
 
-/// Rounds an allocation size up to a pool bucket so types that differ
-/// by a few bytes share an arena.
+/// Rounds an allocation size up to its pool bucket: the next multiple
+/// of 16 B, the block alignment every arena keeps anyway. Types within
+/// 16 B of each other share an arena; nothing pays for a power-of-two
+/// class (an 88-B trailer would otherwise sit in a 128-B block).
 constexpr std::size_t pool_bucket(std::size_t n) {
-  std::size_t b = 32;
-  while (b < n) b *= 2;
-  return b;
+  return (n + 15) / 16 * 16;
 }
 
 /// Pool-backed `new` for a single object of type T. Pairs with

@@ -5,6 +5,12 @@
 // FIFO whose expiry erases the map entry iff the popped record is the
 // key's latest). test_send_history replays seeded operation sequences
 // on both and requires identical answers.
+//
+// The reference hands back the recorded trailer itself; SendHistory
+// rebuilds one from a snapshot. is_fork_of() is the equivalence: the
+// rebuilt trailer must be what the recorded trailer's fork() returns.
+
+#include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
@@ -79,5 +85,36 @@ class ReferenceSendHistory {
       by_key_;
   std::deque<std::pair<Time, Key>> fifo_;
 };
+
+/// Checks that `got`, a SendHistory lookup answer, is field for field
+/// `sent->fork()`: the same body object and every trailer field, with
+/// prev_link_seq reset to 0. hop_send_time is the one field a fork
+/// copies but a snapshot does not keep: the pacer stamps it when it
+/// transmits the retransmission, so the rebuilt trailer leaves it
+/// unstamped.
+inline ::testing::AssertionResult is_fork_of(const media::RtpPacket* got,
+                                             const media::RtpPacketPtr& sent) {
+  if (got == nullptr) return ::testing::AssertionFailure() << "not found";
+  const media::RtpPacketMut want = sent->fork();
+  auto fail = [&](const char* field) {
+    return ::testing::AssertionFailure()
+           << field << " differs from the sent trailer's fork() (seq "
+           << want->seq << ")";
+  };
+  if (&got->body() != &want->body()) return fail("body");
+  if (got->seq != want->seq) return fail("seq");
+  if (got->delay_ext_us != want->delay_ext_us) return fail("delay_ext_us");
+  if (got->is_rtx != want->is_rtx) return fail("is_rtx");
+  if (got->fec_recovered != want->fec_recovered) return fail("fec_recovered");
+  if (got->cdn_hops != want->cdn_hops) return fail("cdn_hops");
+  if (got->prev_link_seq != 0 || want->prev_link_seq != 0) {
+    return fail("prev_link_seq");
+  }
+  if (got->cdn_ingress_time != want->cdn_ingress_time) {
+    return fail("cdn_ingress_time");
+  }
+  if (got->hop_send_time != kNever) return fail("hop_send_time");
+  return ::testing::AssertionSuccess();
+}
 
 }  // namespace livenet::transport::testing

@@ -17,6 +17,7 @@
 #include "sim/event_loop.h"
 #include "telemetry/metrics.h"
 #include "transport/receive_buffer.h"
+#include "util/pool.h"
 
 // The loss-recovery tier: link-local XOR/parity FEC, the RTT-aware
 // re-NACK holdoff, multi-supplier RTX, and the parity hygiene rules
@@ -65,8 +66,8 @@ TEST(FecEncoder, EmitsOneParityPerGroup) {
   }
   auto parity = enc.add(body(1, 13, 113, 1400));
   ASSERT_TRUE(parity.has_value());
-  EXPECT_EQ(parity->fec_group_count, 4u);
-  EXPECT_EQ(parity->fec_base_seq, 10u);
+  EXPECT_EQ(parity->fec->group_count, 4u);
+  EXPECT_EQ(parity->fec->base_seq, 10u);
   EXPECT_EQ(parity->seq, 10u);
   EXPECT_EQ(parity->payload_bytes, 1400u);  // max over the group
   EXPECT_TRUE(RtpPacket::make(std::move(*parity))->is_fec_parity());
@@ -85,7 +86,7 @@ TEST(FecEncoder, SeqHoleRestartsGroup) {
   EXPECT_FALSE(enc.add(body(1, 6, 6)).has_value());
   const auto parity = enc.add(body(1, 7, 7));
   ASSERT_TRUE(parity.has_value());
-  EXPECT_EQ(parity->fec_base_seq, 5u);
+  EXPECT_EQ(parity->fec->base_seq, 5u);
 }
 
 // ----------------------------------------------------------- decoder
@@ -100,6 +101,56 @@ RtpPacketMut encode_group(FecGroupEncoder& enc, StreamId s, Seq base,
   }
   EXPECT_NE(out, nullptr);
   return out;
+}
+
+TEST(FecEncoder, ParitySideObjectReturnsToItsPool) {
+  using media::FecParity;
+  using media::FecParityPtr;
+  using ParityArena =
+      util::FreeListArena<util::pool_bucket(sizeof(FecParity))>;
+  ASSERT_EQ(FecParityPtr::live_count(), 0);
+  const FecParity* side = nullptr;
+  {
+    // Media bodies own no side object.
+    const RtpPacketMut media_pkt = pkt(1, 1, 1);
+    EXPECT_FALSE(media_pkt->is_fec_parity());
+    EXPECT_EQ(FecParityPtr::live_count(), 0);
+
+    FecGroupEncoder enc(3);
+    const RtpPacketMut parity = encode_group(enc, 1, 10, 3);
+    ASSERT_TRUE(parity->is_fec_parity());
+    EXPECT_EQ(FecParityPtr::live_count(), 1);
+    side = &parity->fec();
+
+    // Forks share the body and with it the one side object.
+    const RtpPacketMut fork = parity->fork();
+    EXPECT_EQ(&fork->fec(), side);
+    EXPECT_EQ(FecParityPtr::live_count(), 1);
+
+    // A shard-boundary clone deep-copies the body, side object included.
+    const auto clone = sim::msg_cast<const RtpPacket>(parity->clone_message());
+    ASSERT_NE(clone, nullptr);
+    EXPECT_NE(&clone->fec(), side);
+    EXPECT_EQ(clone->fec(), parity->fec());
+    EXPECT_EQ(FecParityPtr::live_count(), 2);
+
+    // The decoder copies what it needs; it keeps no side object alive.
+    FecDecoder dec;
+    dec.on_parity(*parity);
+    EXPECT_EQ(FecParityPtr::live_count(), 2);
+  }
+  EXPECT_EQ(FecParityPtr::live_count(), 0);
+  // The side object's block is back on its pool's LIFO freelist: only a
+  // few blocks of its size class (the trailers freed after it) lie on
+  // top of it.
+  std::vector<void*> taken;
+  bool reused = false;
+  while (!reused && taken.size() < 8) {
+    taken.push_back(ParityArena::allocate());
+    reused = taken.back() == static_cast<const void*>(side);
+  }
+  for (void* p : taken) ParityArena::deallocate(p);
+  EXPECT_TRUE(reused);
 }
 
 TEST(FecDecoder, ReconstructsSingleLossBitExactly) {

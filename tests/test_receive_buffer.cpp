@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "overlay/packet_cache.h"
+#include "send_history_reference.h"
 #include "sim/event_loop.h"
 #include "transport/receive_buffer.h"
 #include "transport/send_history.h"
@@ -217,8 +218,15 @@ TEST(SendHistory, LookupAndExpiry) {
   cfg.max_age = 1 * kSec;
   SendHistory hist(cfg);
   auto p = pkt(1, 42);
+  p->delay_ext_us = 30 * kMs;
+  p->cdn_ingress_time = 7 * kMs;
+  p->cdn_hops = 2;
+  p->prev_link_seq = 40;
   hist.record(p, 0);
-  EXPECT_EQ(hist.lookup(1, false, 42, 500 * kMs), p);
+  p->hop_send_time = 1 * kMs;  // stamped by the pacer after the record
+  // The answer is a rebuilt trailer, field for field p->fork().
+  EXPECT_TRUE(testing::is_fork_of(
+      hist.lookup(1, false, 42, 500 * kMs).get(), p));
   EXPECT_EQ(hist.lookup(1, false, 42, 3 * kSec), nullptr);  // expired
 }
 

@@ -46,11 +46,8 @@ TEST(Weights, NodeUtilizationDominatesLinkUtilization) {
 }
 
 RoutingGraph diamond() {
-  //     1
-  //   /   \
-  //  0     3     plus a direct slow edge 0->3
-  //   \   /
-  //     2
+  // Two two-hop paths 0->1->3 (20) and 0->2->3 (24), plus a direct
+  // slow edge 0->3 (50).
   RoutingGraph g(4);
   g.set_weight(0, 1, 10);
   g.set_weight(1, 3, 10);
@@ -146,7 +143,9 @@ TEST(GlobalRoutingK1, TreeFastPathInstallsSamePathsAsYen) {
       const auto tree = shortest_path_tree(g, a);
       const auto p = tree.path_to(a, b);
       ASSERT_EQ(yen.empty(), !p.has_value());
-      if (!yen.empty()) EXPECT_EQ(yen[0].nodes, p->nodes);
+      if (!yen.empty()) {
+        EXPECT_EQ(yen[0].nodes, p->nodes);
+      }
     }
   }
 }

@@ -138,9 +138,9 @@ TEST(SvcFec, DenseGroupKeepsLegacyZeroBitmap) {
   EXPECT_FALSE(enc.add(svc_body(2, 0)).has_value());
   const auto parity = enc.add(svc_body(3, 0));
   ASSERT_TRUE(parity.has_value());
-  EXPECT_EQ(parity->fec_seq_bitmap, 0u);  // byte-identical legacy parity
-  EXPECT_EQ(parity->fec_base_seq, 1u);
-  EXPECT_EQ(parity->fec_group_count, 3u);
+  EXPECT_EQ(parity->fec->seq_bitmap, 0u);  // byte-identical legacy parity
+  EXPECT_EQ(parity->fec->base_seq, 1u);
+  EXPECT_EQ(parity->fec->group_count, 3u);
 }
 
 TEST(SvcFec, SparseGroupSpendsNoParityOnFilteredSeqs) {
@@ -152,7 +152,7 @@ TEST(SvcFec, SparseGroupSpendsNoParityOnFilteredSeqs) {
   enc.skip(4);
   const auto parity = enc.add(svc_body(5, 0));
   ASSERT_TRUE(parity.has_value());
-  EXPECT_EQ(parity->fec_seq_bitmap, 0b10101u);  // members 1, 3, 5
+  EXPECT_EQ(parity->fec->seq_bitmap, 0b10101u);  // members 1, 3, 5
 
   // The decoder reconstructs a lost *member* from the other members —
   // the skipped seqs are not holes.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/pool.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -173,6 +174,20 @@ TEST(WelchT, LargeSeparationGivesLargeT) {
   }
   // 5-sigma-ish separation over 2000 samples: |t| far above 3.3
   EXPECT_LT(welch_t_statistic(a, b), -3.3);
+}
+
+TEST(PoolBucket, RoundsUpToSixteenBytes) {
+  for (std::size_t n = 1; n <= 1024; ++n) {
+    const std::size_t b = util::pool_bucket(n);
+    EXPECT_EQ(b % 16, 0u) << n;
+    EXPECT_GE(b, n) << n;
+    EXPECT_LT(b - n, 16u) << n;
+  }
+  static_assert(util::pool_bucket(1) == 16);
+  static_assert(util::pool_bucket(16) == 16);
+  static_assert(util::pool_bucket(80) == 80);
+  static_assert(util::pool_bucket(88) == 96);
+  static_assert(util::pool_bucket(168) == 176);
 }
 
 }  // namespace
